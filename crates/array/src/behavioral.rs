@@ -43,6 +43,7 @@ use fault_inject::model::{WordFailureModel, WORD_BITS};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use sram_exec::derive_seed;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Seed-stream derivation shared by the monolithic [`SynapticMemory`]
@@ -229,8 +230,6 @@ pub(crate) struct BankModels {
     read_thresholds: Vec<ActiveBits>,
     /// Per-bank integer draw thresholds for write faults, active bits only.
     write_thresholds: Vec<ActiveBits>,
-    /// `true` when any bank can corrupt a read.
-    any_read_faulty: bool,
 }
 
 impl BankModels {
@@ -245,23 +244,21 @@ impl BankModels {
             .collect();
         let write_faulty: Vec<bool> = write_thresholds.iter().map(|t| !t.is_empty()).collect();
         let read_faulty: Vec<bool> = read_thresholds.iter().map(|t| !t.is_empty()).collect();
-        let any_read_faulty = read_faulty.iter().any(|&f| f);
         Self {
             models,
             write_faulty,
             read_faulty,
             read_thresholds,
             write_thresholds,
-            any_read_faulty,
         }
     }
 
-    /// `true` when no bank can corrupt a read — reads then draw zero
-    /// randomness and return stored bytes verbatim, which is what lets the
-    /// serving layer share one physical row fetch across a whole
+    /// `true` when no bank in `banks` can corrupt a read — reads there draw
+    /// zero randomness and return stored bytes verbatim, which is what lets
+    /// the serving layer share one physical row fetch across a whole
     /// micro-batch without perturbing any request's fault stream.
-    pub(crate) fn read_fault_free(&self) -> bool {
-        !self.any_read_faulty
+    pub(crate) fn read_fault_free(&self, banks: Range<usize>) -> bool {
+        !self.read_faulty[banks].contains(&true)
     }
 
     /// Samples read-fault masks for `out.len()` consecutive words of
@@ -491,7 +488,7 @@ impl SynapticMemory {
     /// `true` when no bank can corrupt a read: every read returns stored
     /// bytes verbatim and draws zero randomness from the caller's RNG.
     pub fn read_fault_free(&self) -> bool {
-        self.banks.read_fault_free()
+        self.banks.read_fault_free(0..self.banks.models.len())
     }
 
     /// Capacity in words.

@@ -24,6 +24,7 @@ use crate::behavioral::streams;
 use crate::sharded::ShardedMemory;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sram_exec::{fnv1a, fnv1a_u64, FNV_OFFSET};
 
 /// One weak word found by the march: its global address and the mask of
 /// bits that failed both read passes of some background element.
@@ -111,18 +112,9 @@ impl BistReport {
     /// FNV-1a digest of the weak-cell map — the cheap cross-run,
     /// cross-thread-count equality check the chaos gate compares.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for w in &self.entries {
-            for byte in (w.index as u64).to_le_bytes() {
-                mix(byte);
-            }
-            mix(w.mask);
-        }
-        h
+        self.entries.iter().fold(FNV_OFFSET, |h, w| {
+            fnv1a(fnv1a_u64(h, w.index as u64), &[w.mask])
+        })
     }
 }
 

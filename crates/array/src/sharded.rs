@@ -38,6 +38,7 @@ use fault_inject::model::{WordFailureModel, WORD_BITS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One shard: a contiguous slice of the global word range with its own
@@ -713,11 +714,23 @@ impl ShardedMemory {
 
     /// `true` when no bank can corrupt a read: every read returns stored
     /// bytes verbatim and draws zero randomness from the caller's RNG.
-    /// This is the condition under which the serving layer may feed one
-    /// physical row fetch to a whole micro-batch — with nothing drawn, all
-    /// per-request fault streams stay untouched and replay identically.
+    /// The whole-store case of [`banks_read_fault_free`](Self::banks_read_fault_free).
     pub fn read_fault_free(&self) -> bool {
-        self.banks.read_fault_free()
+        self.banks_read_fault_free(0..self.banks.models.len())
+    }
+
+    /// `true` when no bank in the window `banks` can corrupt a read. This
+    /// is the condition under which the serving layer may feed one
+    /// physical row fetch to a whole micro-batch of a tenant living in
+    /// that window — with nothing drawn, all per-request fault streams
+    /// stay untouched and replay identically, whatever other tenants of
+    /// the store do.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window runs past the store's banks.
+    pub fn banks_read_fault_free(&self, banks: Range<usize>) -> bool {
+        self.banks.read_fault_free(banks)
     }
 
     /// Bills read counters as if every word of `start..start + len` had

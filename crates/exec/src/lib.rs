@@ -39,12 +39,16 @@
 
 pub mod cache;
 pub mod cli;
+pub mod digest;
 pub mod pool;
 pub mod seed;
 
 pub use cache::MemoCache;
 pub use cli::strip_threads_flag;
-pub use pool::{clear_threads, effective_threads, par_map, par_map_indexed, set_threads};
+pub use digest::{fnv1a, fnv1a_u64, FNV_OFFSET};
+pub use pool::{
+    clear_threads, effective_threads, par_map, par_map_indexed, resolve_workers, set_threads,
+};
 pub use seed::derive_seed;
 
 /// Serializes tests that mutate the process-global worker-count override.

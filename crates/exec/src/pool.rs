@@ -61,6 +61,18 @@ pub fn effective_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Resolves a configured worker count the way every long-lived worker pool
+/// in the workspace does: a positive `configured` wins, 0 falls back to
+/// [`effective_threads`]; the result is clamped to `[1, MAX_WORKERS]`.
+pub fn resolve_workers(configured: usize) -> usize {
+    let workers = if configured > 0 {
+        configured
+    } else {
+        effective_threads()
+    };
+    workers.clamp(1, MAX_WORKERS)
+}
+
 /// Maps `f` over `0..n` on the worker pool and returns the results in index
 /// order.
 ///
@@ -190,8 +202,11 @@ mod tests {
         let _gate = exclusive();
         set_threads(100_000);
         let out = par_map_indexed(300, |i| i + 1);
+        assert_eq!(resolve_workers(0), MAX_WORKERS);
         clear_threads();
         assert_eq!(out, (1..=300).collect::<Vec<_>>());
+        assert_eq!(resolve_workers(3), 3);
+        assert_eq!(resolve_workers(50_000), MAX_WORKERS);
     }
 
     #[test]

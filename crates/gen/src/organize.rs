@@ -10,25 +10,7 @@ use crate::spec::{BankSpec, SramSpec};
 use neural::network::Mlp;
 use neural::quant::{Encoding, QuantizedMlp};
 use sram_array::organization::SynapticMemoryMap;
-
-/// FNV-1a offset basis (the digest idiom used across the workspace).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a hash state.
-pub fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Folds a `u64` (little-endian) into an FNV-1a hash state.
-pub fn fnv_u64(hash: u64, value: u64) -> u64 {
-    fnv(hash, &value.to_le_bytes())
-}
+use sram_exec::{fnv1a, fnv1a_u64, FNV_OFFSET};
 
 /// A built organization: the spec, its memory map, and (for workload
 /// specs) the deterministic quantized network whose weights the smoke
@@ -93,12 +75,12 @@ impl GeneratedOrganization {
 /// a generated layout byte-for-byte against a hand-wired fixture.
 pub fn layout_digest(map: &SynapticMemoryMap) -> u64 {
     let mut h = FNV_OFFSET;
-    h = fnv_u64(h, map.dims().rows as u64);
-    h = fnv_u64(h, map.dims().cols as u64);
-    h = fnv_u64(h, map.banks().len() as u64);
+    h = fnv1a_u64(h, map.dims().rows as u64);
+    h = fnv1a_u64(h, map.dims().cols as u64);
+    h = fnv1a_u64(h, map.banks().len() as u64);
     for bank in map.banks() {
-        h = fnv_u64(h, bank.words as u64);
-        h = fnv(h, &[bank.assignment.mask()]);
+        h = fnv1a_u64(h, bank.words as u64);
+        h = fnv1a(h, &[bank.assignment.mask()]);
     }
     h
 }

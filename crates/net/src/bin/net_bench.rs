@@ -41,6 +41,7 @@ use sram_net::loadgen::{self, LoadOptions, TenantStream};
 use sram_net::registry::{ModelRegistry, TenantSpec};
 use sram_net::server::{self, NetServerOptions};
 use sram_serve::fixture::{million_synapse_network, trained_digit_network};
+use sram_serve::format_ns;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -143,19 +144,6 @@ fn parse_args() -> Result<Args, String> {
         args.per_conn_inflight = args.global_inflight;
     }
     Ok(args)
-}
-
-fn format_ns(ns: u64) -> String {
-    let ns = ns as f64;
-    if ns < 1e3 {
-        format!("{ns:.0} ns")
-    } else if ns < 1e6 {
-        format!("{:.1} µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.3} s", ns / 1e9)
-    }
 }
 
 /// Monte-Carlo depth for the spec-characterized tenants: enough for

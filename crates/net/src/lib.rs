@@ -15,7 +15,8 @@
 //!   one shared [`ShardedMemory`], each bank window under its tenant's
 //!   own significance/voltage policy, served through per-tenant seed
 //!   streams.
-//! * [`server`] + [`loadgen`] — the evented IO loop with backpressure
+//! * [`server`] + [`loadgen`] — the evented IO loop, which hands admitted
+//!   requests to `sram_serve`'s scheduler, with backpressure
 //!   (per-connection and global in-flight bounds → explicit `Overloaded`
 //!   shedding; a soft watermark that degrades tenants to their drowsy
 //!   retention tier) and the open-loop load generator that measures

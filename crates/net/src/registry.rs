@@ -234,6 +234,12 @@ impl ModelRegistry {
         self.tenants[tenant].system.reads_per_inference() as u64
     }
 
+    /// Every resident tenant as a `(system, seed)` pair, registry order —
+    /// the tenant list the serving scheduler runs over.
+    pub fn systems(&self) -> Vec<(&NeuromorphicSystem, u64)> {
+        self.tenants.iter().map(|t| (&t.system, t.seed)).collect()
+    }
+
     /// A warm, pre-sized context for the tenant's network.
     pub fn make_context(&self, tenant: usize) -> InferContext {
         let t = &self.tenants[tenant];

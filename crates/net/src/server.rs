@@ -1,23 +1,21 @@
 //! The evented TCP front door: non-blocking sockets, a poll loop, and
-//! SLO-aware admission over the worker pool.
+//! SLO-aware admission onto the shared `sram_serve` scheduler.
 //!
 //! # Architecture
 //!
 //! ```text
-//! clients ──TCP──▶ IO thread ──admit──▶ job queue ──▶ worker 0..W ─┐
-//!                  │  (accept, frame     (Mutex +                  │
-//!                  │   decode, shed/     Condvar,   ModelRegistry::classify
-//!                  │   degrade, write    bounded)   (&self, per-request ctx)
-//!                  │   buffers, timeouts)                          │
-//!                  ◀──────────── results channel (mpsc) ───────────┘
+//! clients ──TCP──▶ IO thread ──admit──▶ sram_serve::scheduler (queue → micro-batches → workers)
+//!                  (accept, decode,                │
+//!                   shed/degrade, write ◀── completions (mpsc)
+//!                   buffers, timeouts)
 //! ```
 //!
 //! One IO thread owns every socket (no epoll, no registry — the same
 //! hand-rolled discipline as the shims): it accepts, reads into
-//! per-connection [`FrameDecoder`]s, makes the admission decision, drains
-//! worker results into per-connection write buffers, and enforces the
-//! timeouts. Workers never touch a socket; they pull jobs, classify on the
-//! shared registry, and send results back over an `mpsc` channel.
+//! per-connection [`FrameDecoder`]s, makes the admission decision, submits
+//! admitted requests to the [`Scheduler`] `InferenceServer` also runs on,
+//! drains its completions into per-connection write buffers, and enforces
+//! the timeouts. Workers never touch a socket.
 //!
 //! # Admission
 //!
@@ -43,14 +41,13 @@ use crate::proto::{
     RequestBody, Response, Status,
 };
 use crate::registry::ModelRegistry;
-use neuro_system::controller::InferContext;
-use sram_serve::LatencyHistogram;
-use std::collections::VecDeque;
+use sram_serve::scheduler::{Completion, Job, Scheduler};
+use sram_serve::{bit_error_rate, LatencyHistogram, ServeOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -96,9 +93,6 @@ impl Default for NetServerOptions {
     }
 }
 
-/// Hard ceiling on worker threads (same guard as the serve layer).
-const MAX_WORKERS: usize = 256;
-
 /// Poll-loop sleep when a tick moved no bytes; bounds idle CPU burn at
 /// the cost of ~a tenth of a millisecond of added latency.
 const IDLE_TICK: Duration = Duration::from_micros(100);
@@ -108,7 +102,7 @@ const IDLE_TICK: Duration = Duration::from_micros(100);
 const STOP_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Per-tenant serving metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantReport {
     /// Tenant display name.
     pub name: String,
@@ -121,9 +115,9 @@ pub struct TenantReport {
     pub drowsy_served: u64,
     /// Healthy → drowsy transitions.
     pub degrade_events: u64,
-    /// Admission → worker-pop wait distribution.
+    /// Admission → processing-start wait distribution.
     pub queue: LatencyHistogram,
-    /// Worker-pop → completion service distribution.
+    /// Processing-start → completion service distribution.
     pub service: LatencyHistogram,
     /// Read-fault bits injected into this tenant's requests.
     pub fault_bits: u64,
@@ -142,11 +136,7 @@ pub struct TenantReport {
 impl TenantReport {
     /// Injected fault bits per bit read.
     pub fn observed_bit_error_rate(&self) -> f64 {
-        let bits = self.words_read.saturating_mul(8);
-        if bits == 0 {
-            return 0.0;
-        }
-        self.fault_bits as f64 / bits as f64
+        bit_error_rate(self.fault_bits, self.words_read)
     }
 }
 
@@ -218,7 +208,8 @@ impl RunningServer {
     }
 }
 
-/// Binds the listener and spawns the IO thread + worker pool.
+/// Binds the listener and spawns the IO thread, which runs the scheduler's
+/// workers for as long as it serves.
 ///
 /// # Errors
 ///
@@ -243,35 +234,14 @@ pub fn spawn(
     })
 }
 
-/// One admitted classify job.
-struct Job {
+/// Where an admitted job's response goes: the connection slot, the
+/// connection generation occupying it at admission, and whether the
+/// tenant was degraded when the job was admitted.
+#[derive(Debug, Clone, Copy)]
+struct Route {
     slot: usize,
     gen: u64,
-    tenant: usize,
-    request_id: u64,
-    features: Vec<f32>,
-    admitted: Instant,
     drowsy: bool,
-}
-
-/// A finished classify job, routed back to its connection.
-struct Done {
-    slot: usize,
-    gen: u64,
-    tenant: usize,
-    request_id: u64,
-    prediction: u16,
-    fault_bits: u64,
-    queue_ns: u64,
-    service_ns: u64,
-    drowsy: bool,
-}
-
-/// Job queue shared between the IO thread and the workers.
-#[derive(Default)]
-struct JobQueue {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
 }
 
 /// One connection's state, owned by the IO thread.
@@ -304,6 +274,15 @@ impl Conn {
         self.out.extend_from_slice(&encode_response(resp));
     }
 
+    /// Queues a response that carries no classify reply.
+    fn queue_status(&mut self, status: Status, request_id: u64) {
+        self.queue_response(&Response {
+            status,
+            request_id,
+            reply: None,
+        });
+    }
+
     fn pending_out(&self) -> usize {
         self.out.len() - self.out_pos
     }
@@ -315,7 +294,6 @@ struct TenantState {
     drowsy: bool,
     drowsy_scale: f64,
     energy_per_inference_j: f64,
-    words_per_inference: u64,
     input_width: usize,
 }
 
@@ -326,14 +304,12 @@ fn run_server(
     stop: &AtomicBool,
 ) -> NetReport {
     let started = Instant::now();
-    let workers = if options.workers > 0 {
-        options.workers
-    } else {
-        sram_exec::effective_threads()
-    }
-    .clamp(1, MAX_WORKERS);
-    let queue = Arc::new((Mutex::new(JobQueue::default()), Condvar::new()));
-    let (done_tx, done_rx) = mpsc::channel::<Done>();
+    let scheduler = Scheduler::new(
+        registry.systems(),
+        sram_exec::resolve_workers(options.workers),
+        ServeOptions::default().max_batch,
+    );
+    let (done_tx, done_rx) = mpsc::channel::<Completion<Route>>();
 
     let mut tenants: Vec<TenantState> = (0..registry.len())
         .map(|t| {
@@ -341,22 +317,11 @@ fn run_server(
             TenantState {
                 report: TenantReport {
                     name: spec.name.clone(),
-                    served: 0,
-                    shed: 0,
-                    drowsy_served: 0,
-                    degrade_events: 0,
-                    queue: LatencyHistogram::new(),
-                    service: LatencyHistogram::new(),
-                    fault_bits: 0,
-                    words_read: 0,
-                    energy_j: 0.0,
-                    standby_scale: 1.0,
-                    digest: 0,
+                    ..TenantReport::default()
                 },
                 drowsy: false,
                 drowsy_scale: spec.drowsy_scale,
                 energy_per_inference_j: spec.energy_per_inference_j,
-                words_per_inference: registry.reads_per_inference(t),
                 input_width: registry.input_width(t),
             }
         })
@@ -369,18 +334,7 @@ fn run_server(
     let mut inflight = 0usize;
     let mut stop_seen: Option<Instant> = None;
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queue = Arc::clone(&queue);
-            let done_tx = done_tx.clone();
-            let registry = Arc::clone(registry);
-            std::thread::Builder::new()
-                .name(format!("sram-net-worker-{w}"))
-                .spawn_scoped(scope, move || worker_loop(&registry, &queue, &done_tx))
-                .expect("spawn worker");
-        }
-        drop(done_tx);
-
+    scheduler.run(&done_tx, || {
         let mut read_buf = [0u8; 8192];
         loop {
             let mut progressed = false;
@@ -453,11 +407,7 @@ fn run_server(
                     match conn.decoder.next_frame() {
                         Err(oversized) => {
                             bad_frames += 1;
-                            conn.queue_response(&Response {
-                                status: Status::FrameTooLarge,
-                                request_id: oversized.declared as u64,
-                                reply: None,
-                            });
+                            conn.queue_status(Status::FrameTooLarge, oversized.declared as u64);
                             conn.closing = true;
                             break;
                         }
@@ -467,11 +417,7 @@ fn run_server(
                             match decode_request(&payload) {
                                 Err(_) => {
                                     bad_frames += 1;
-                                    conn.queue_response(&Response {
-                                        status: Status::BadRequest,
-                                        request_id: 0,
-                                        reply: None,
-                                    });
+                                    conn.queue_status(Status::BadRequest, 0);
                                 }
                                 Ok(req) => handle_request(
                                     req,
@@ -481,7 +427,7 @@ fn run_server(
                                     &mut inflight,
                                     &mut pings,
                                     options,
-                                    &queue,
+                                    &scheduler,
                                 ),
                             }
                         }
@@ -489,24 +435,26 @@ fn run_server(
                 }
             }
 
-            // 3. Drain worker results into write buffers.
+            // 3. Drain scheduler completions into write buffers.
             while let Ok(done) = done_rx.try_recv() {
                 progressed = true;
                 inflight -= 1;
+                let route = done.tag;
+                let prediction = done.prediction as u16;
                 let state = &mut tenants[done.tenant];
                 state.report.served += 1;
                 state.report.queue.record(done.queue_ns);
                 state.report.service.record(done.service_ns);
                 state.report.fault_bits += done.fault_bits;
-                state.report.words_read += state.words_per_inference;
+                state.report.words_read += done.reads;
                 state.report.energy_j += state.energy_per_inference_j;
-                if done.drowsy {
+                if route.drowsy {
                     state.report.drowsy_served += 1;
                 }
                 state.report.digest = state.report.digest.wrapping_add(response_mix(
                     done.tenant as u16,
-                    done.request_id,
-                    done.prediction,
+                    done.id,
+                    prediction,
                     done.fault_bits as u32,
                 ));
                 // Backlog halved: recover every tenant to the healthy tier.
@@ -515,14 +463,14 @@ fn run_server(
                         t.drowsy = false;
                     }
                 }
-                if let Some(conn) = conns[done.slot].as_mut() {
-                    if conn.gen == done.gen {
+                if let Some(conn) = conns[route.slot].as_mut() {
+                    if conn.gen == route.gen {
                         conn.inflight -= 1;
                         conn.queue_response(&Response {
                             status: Status::Ok,
-                            request_id: done.request_id,
+                            request_id: done.id,
                             reply: Some(ClassifyReply {
-                                prediction: done.prediction,
+                                prediction,
                                 fault_bits: done.fault_bits as u32,
                                 queue_ns: done.queue_ns,
                                 service_ns: done.service_ns,
@@ -590,15 +538,6 @@ fn run_server(
                 std::thread::sleep(IDLE_TICK);
             }
         }
-
-        // Tear the workers down.
-        {
-            let (lock, cvar) = &*queue;
-            lock.lock().unwrap_or_else(|e| e.into_inner()).shutdown = true;
-            cvar.notify_all();
-        }
-        // Scoped threads join here; drain any results that raced the stop.
-        while done_rx.try_recv().is_ok() {}
     });
 
     for state in tenants.iter_mut() {
@@ -628,45 +567,29 @@ fn handle_request(
     inflight: &mut usize,
     pings: &mut u64,
     options: &NetServerOptions,
-    queue: &Arc<(Mutex<JobQueue>, Condvar)>,
+    scheduler: &Scheduler<'_, Vec<f32>, Route>,
 ) {
     let features = match req.body {
         RequestBody::Ping => {
             *pings += 1;
-            conn.queue_response(&Response {
-                status: Status::Ok,
-                request_id: req.request_id,
-                reply: None,
-            });
+            conn.queue_status(Status::Ok, req.request_id);
             return;
         }
         RequestBody::Classify(features) => features,
     };
     let tenant = req.tenant as usize;
     if tenant >= tenants.len() {
-        conn.queue_response(&Response {
-            status: Status::UnknownTenant,
-            request_id: req.request_id,
-            reply: None,
-        });
+        conn.queue_status(Status::UnknownTenant, req.request_id);
         return;
     }
     let state = &mut tenants[tenant];
     if features.len() != state.input_width {
-        conn.queue_response(&Response {
-            status: Status::BadRequest,
-            request_id: req.request_id,
-            reply: None,
-        });
+        conn.queue_status(Status::BadRequest, req.request_id);
         return;
     }
     if *inflight >= options.global_inflight || conn.inflight >= options.per_conn_inflight {
         state.report.shed += 1;
-        conn.queue_response(&Response {
-            status: Status::Overloaded,
-            request_id: req.request_id,
-            reply: None,
-        });
+        conn.queue_status(Status::Overloaded, req.request_id);
         return;
     }
     // Soft overload: degrade this tenant to its drowsy retention tier,
@@ -678,66 +601,15 @@ fn handle_request(
     }
     *inflight += 1;
     conn.inflight += 1;
-    let job = Job {
-        slot,
-        gen: conn.gen,
+    scheduler.submit([Job {
         tenant,
-        request_id: req.request_id,
+        id: req.request_id,
         features,
         admitted: Instant::now(),
-        drowsy: state.drowsy,
-    };
-    let (lock, cvar) = &**queue;
-    lock.lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .jobs
-        .push_back(job);
-    cvar.notify_one();
-}
-
-fn worker_loop(
-    registry: &ModelRegistry,
-    queue: &Arc<(Mutex<JobQueue>, Condvar)>,
-    done_tx: &mpsc::Sender<Done>,
-) {
-    // One warm context per tenant; `classify` re-arms the RNG per request,
-    // so reuse is invisible to the outputs.
-    let mut ctxs: Vec<Option<InferContext>> = (0..registry.len()).map(|_| None).collect();
-    let (lock, cvar) = &**queue;
-    loop {
-        let job = {
-            let mut q = lock.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break job;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = cvar.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let popped = Instant::now();
-        let queue_ns = popped.duration_since(job.admitted).as_nanos() as u64;
-        let ctx = ctxs[job.tenant].get_or_insert_with(|| registry.make_context(job.tenant));
-        let (prediction, fault_bits) =
-            registry.classify(job.tenant, &job.features, job.request_id, ctx);
-        let service_ns = popped.elapsed().as_nanos() as u64;
-        if done_tx
-            .send(Done {
-                slot: job.slot,
-                gen: job.gen,
-                tenant: job.tenant,
-                request_id: job.request_id,
-                prediction: prediction as u16,
-                fault_bits,
-                queue_ns,
-                service_ns,
-                drowsy: job.drowsy,
-            })
-            .is_err()
-        {
-            return;
-        }
-    }
+        tag: Route {
+            slot,
+            gen: conn.gen,
+            drowsy: state.drowsy,
+        },
+    }]);
 }

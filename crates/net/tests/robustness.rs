@@ -367,3 +367,112 @@ fn digests_are_identical_across_connection_and_worker_counts() {
     let b = run(4, 5);
     assert_eq!(a, b, "digest must not depend on workers or connections");
 }
+
+#[test]
+fn mixed_fault_burst_replays_per_request_at_every_worker_count() {
+    // One faulting tenant and one with read BER 0 share the store. The
+    // clean tenant's runs in a popped batch share one row fetch; neither
+    // that nor the worker count may show in the results.
+    let registry = Arc::new(ModelRegistry::new(
+        vec![
+            tiny_spec("faulty", &[12, 8, 4], 1, 0.1),
+            tiny_spec("clean", &[9, 6, 3], 2, 0.0),
+        ],
+        77,
+        2,
+    ));
+    let tiny = tiny_streams();
+    // Three clean streams per faulting one, so the queue holds runs of
+    // clean requests for the batch path to pick up.
+    let streams = vec![
+        tiny[0].clone(),
+        tiny[1].clone(),
+        tiny[1].clone(),
+        tiny[1].clone(),
+    ];
+    let requests = 160usize;
+    let reads_before: Vec<usize> = registry
+        .store()
+        .shard_counts()
+        .iter()
+        .map(|c| c.reads)
+        .collect();
+    let mut served_total = [0u64; 2];
+    let mut digests = Vec::new();
+    for workers in [1usize, 2, 4] {
+        let server = server::spawn(
+            Arc::clone(&registry),
+            NetServerOptions {
+                workers,
+                ..NetServerOptions::default()
+            },
+        )
+        .expect("bind loopback");
+        let load = loadgen::run(
+            server.addr(),
+            &streams,
+            &LoadOptions {
+                rate: 0.0,
+                requests,
+                connections: 2,
+                seed: 3,
+                drain_timeout: Duration::from_secs(20),
+            },
+        )
+        .expect("load run");
+        let report = server.stop();
+        assert_eq!(
+            load.ok, requests as u64,
+            "burst under the caps serves everything"
+        );
+        assert_eq!(load.digest, report.digest());
+        assert_eq!(
+            report.tenants[1].fault_bits, 0,
+            "clean tenant injected faults"
+        );
+        assert!(
+            report.tenants[0].fault_bits > 0,
+            "faulting tenant never faulted"
+        );
+        for (t, total) in served_total.iter_mut().enumerate() {
+            assert_eq!(
+                report.tenants[t].words_read,
+                report.tenants[t].served * registry.reads_per_inference(t)
+            );
+            *total += report.tenants[t].served;
+        }
+        digests.push(report.digest());
+    }
+    // Amortized rows still bill every logical copy to the shards.
+    let shard_delta: usize = registry
+        .store()
+        .shard_counts()
+        .iter()
+        .zip(&reads_before)
+        .map(|(after, before)| after.reads - before)
+        .sum();
+    let billed: u64 = (0..2)
+        .map(|t| served_total[t] * registry.reads_per_inference(t))
+        .sum();
+    assert_eq!(shard_delta as u64, billed);
+
+    // Replay every request through the registry, one at a time.
+    let mut ctx = registry.make_context(0);
+    let replay = (0..requests).fold(0u64, |acc, i| {
+        let s = &streams[i % streams.len()];
+        let features = &s.features[(i / streams.len()) % s.features.len()];
+        let (prediction, faults) =
+            registry.classify(s.tenant as usize, features, i as u64, &mut ctx);
+        acc.wrapping_add(sram_net::response_mix(
+            s.tenant,
+            i as u64,
+            prediction as u16,
+            faults as u32,
+        ))
+    });
+    assert_eq!(
+        digests,
+        vec![replay; 3],
+        "digest at workers 1, 2, 4 vs replay"
+    );
+}

@@ -48,7 +48,7 @@ use sram_device::process::Technology;
 use sram_device::units::Volt;
 use sram_serve::fixture::{request_stream, trained_digit_network};
 use sram_serve::{
-    apply_chaos_event, drowsy_plan, prediction_digest, DrowsyPolicy, InferenceServer,
+    apply_chaos_event, drowsy_plan, format_ns, prediction_digest, DrowsyPolicy, InferenceServer,
     LatencyHistogram, ResilienceConfig, ResilienceController, ServeOptions,
 };
 use std::time::Instant;
@@ -118,19 +118,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn format_ns(ns: u64) -> String {
-    let ns = ns as f64;
-    if ns < 1e3 {
-        format!("{ns:.0} ns")
-    } else if ns < 1e6 {
-        format!("{:.1} µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.3} s", ns / 1e9)
-    }
 }
 
 /// One chaos scenario's merged outcome across all request waves.

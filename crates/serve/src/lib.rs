@@ -9,13 +9,17 @@
 //! voltage policy, and per-request metrics (latency histogram, energy per
 //! inference, observed bit-error rate).
 //!
-//! The pipeline (see [`server`] for the full diagram):
+//! The pipeline (see [`scheduler`] and [`server`] for the full diagrams):
 //!
 //! ```text
-//! requests → admission queue → adaptive micro-batches → workers
+//! requests → scheduler job queue → adaptive micro-batches → workers
 //!          → NeuromorphicSystem::classify_request(&self, …)
+//!            (or classify_batch on a read-fault-free bank window)
 //!          → SynapticMemory::read_shared(per-request RNG)
 //! ```
+//!
+//! The [`scheduler`] is the workspace's one serving engine: `sram_net`'s
+//! TCP tier submits to it as well.
 //!
 //! **Determinism contract.** Request `id`'s randomness is
 //! `derive_seed(base_seed, id)`; results are slotted by id. Predictions are
@@ -35,9 +39,10 @@ pub mod fixture;
 pub mod metrics;
 pub mod policy;
 pub mod resilience;
+pub mod scheduler;
 pub mod server;
 
-pub use metrics::{byte_digest, prediction_digest, LatencyHistogram};
+pub use metrics::{bit_error_rate, byte_digest, format_ns, prediction_digest, LatencyHistogram};
 pub use policy::{
     apply_ber_feedback, drowsy_plan, BandVoltage, DrowsyPlan, DrowsyPolicy, ShardRetention,
 };

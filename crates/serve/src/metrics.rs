@@ -10,6 +10,9 @@
 //! combine associatively and the merged quantiles do not depend on worker
 //! count or merge order.
 
+use fault_inject::model::WORD_BITS;
+use sram_exec::{fnv1a, fnv1a_u64, FNV_OFFSET};
+
 /// Sub-buckets per octave (2^3): latencies keep their top four significant
 /// bits.
 const SUBS_PER_OCTAVE: usize = 8;
@@ -163,26 +166,41 @@ impl LatencyHistogram {
 /// FNV-1a digest of a prediction vector — the fingerprint `serve_bench`
 /// prints and the `serve-load` CI job compares across worker counts.
 pub fn prediction_digest(predictions: &[usize]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &p in predictions {
-        for byte in (p as u64).to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
+    predictions
+        .iter()
+        .fold(FNV_OFFSET, |h, &p| fnv1a_u64(h, p as u64))
 }
 
 /// FNV-1a fingerprint of a byte image (memory contents, bulk-read sweeps);
 /// the `scale_bench` shard-equivalence gate compares these across shard
 /// counts.
 pub fn byte_digest(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    fnv1a(FNV_OFFSET, bytes)
+}
+
+/// A nanosecond span at a readable scale (ns, µs, ms or s), for the load
+/// generators' tables.
+pub fn format_ns(ns: u64) -> String {
+    let ns = ns as f64;
+    if ns < 1e3 {
+        format!("{ns:.0} ns")
+    } else if ns < 1e6 {
+        format!("{:.1} µs", ns / 1e3)
+    } else if ns < 1e9 {
+        format!("{:.2} ms", ns / 1e6)
+    } else {
+        format!("{:.3} s", ns / 1e9)
     }
-    hash
+}
+
+/// Injected read-fault bits per bit read — the serving-Vdd bit-error rate
+/// a request stream actually observed; 0 when nothing was read.
+pub fn bit_error_rate(fault_bits: u64, words_read: u64) -> f64 {
+    let bits = words_read.saturating_mul(WORD_BITS as u64);
+    if bits == 0 {
+        return 0.0;
+    }
+    fault_bits as f64 / bits as f64
 }
 
 #[cfg(test)]

@@ -1,23 +1,16 @@
-//! The inference server: admission queue → adaptive micro-batcher →
-//! shared-state controller → synaptic memory.
-//!
-//! # Architecture
+//! The inference server: the closed-slice front door of the shared
+//! [`scheduler`](crate::scheduler).
 //!
 //! ```text
-//!  requests ──▶ admission queue ──▶ worker 0 ─┐
-//!  (id 0..n)    (Mutex<VecDeque>)  worker 1 ─┼─▶ NeuromorphicSystem (&self)
-//!                    ▲             worker W ─┘     └─▶ ShardedMemory::read_shared
-//!                    │ adaptive micro-batch pop          (per-request RNG,
-//!                                                         shard-routed)
+//!  requests ──submit at t=0──▶ Scheduler ──▶ workers ──▶ NeuromorphicSystem (&self)
+//!  ServeReport ◀── slots by id ◀── completions ◀──┘      └─▶ ShardedMemory::read_shared
 //! ```
 //!
-//! Workers pull *micro-batches* off the queue instead of single requests:
-//! one lock acquisition admits up to [`ServeOptions::max_batch`] requests,
-//! and the batch shares one warm [`InferContext`] (scratch buffers persist,
-//! the RNG is re-seeded per request). The batch size adapts to backlog —
-//! `queue_len / (2·workers)`, clamped to `[1, max_batch]` — so a deep queue
-//! amortizes lock traffic while a draining queue falls back to single
-//! requests and keeps the stragglers balanced across workers.
+//! The scheduler pops micro-batches sized to the backlog
+//! (`queue_len / (2·workers)`, clamped to `[1, max_batch]`): a deep queue
+//! amortizes lock traffic, a draining one falls back to single requests.
+//! When the system's bank window cannot fault a read, a popped batch
+//! shares one physical row fetch per neuron.
 //!
 //! # Determinism
 //!
@@ -30,15 +23,14 @@
 //! *not* deterministic; only their aggregation (histogram merge) is
 //! order-invariant.
 
-use crate::metrics::{prediction_digest, LatencyHistogram};
+use crate::metrics::{bit_error_rate, prediction_digest, LatencyHistogram};
 use crate::policy::DrowsyPlan;
 use crate::resilience::{ResilienceController, ResilienceCounters};
-use fault_inject::model::WORD_BITS;
+use crate::scheduler::{Job, Scheduler};
 use neuro_system::controller::{InferContext, NeuromorphicSystem};
 use neuro_system::energy::SystemEnergyReport;
 use sram_device::units::Watt;
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Serving knobs.
@@ -62,19 +54,6 @@ impl Default for ServeOptions {
             base_seed: 0x5E2F_E5EE_D000_0001,
         }
     }
-}
-
-/// Hard ceiling on serving workers, matching the exec pool's guard: a
-/// typo'd `SRAM_REPRO_THREADS=50000` must degrade to a big-but-survivable
-/// thread count, not die on spawn-resource exhaustion. Predictions are
-/// worker-count invariant, so clamping never changes an output.
-const MAX_WORKERS: usize = 256;
-
-/// Micro-batch size for the current backlog: split the queue so every
-/// worker gets roughly two more turns (bounds tail imbalance at ~half a
-/// batch), clamped to `[1, max_batch]`.
-pub(crate) fn adaptive_batch(queue_len: usize, workers: usize, max_batch: usize) -> usize {
-    (queue_len / (2 * workers.max(1))).clamp(1, max_batch.max(1))
 }
 
 /// Everything one `serve` call produced.
@@ -147,11 +126,7 @@ impl ServeReport {
     /// Injected read-fault bits per bit read — the serving-Vdd bit-error
     /// rate actually observed by the request stream.
     pub fn observed_bit_error_rate(&self) -> f64 {
-        let bits = self.words_read.saturating_mul(WORD_BITS as u64);
-        if bits == 0 {
-            return 0.0;
-        }
-        self.fault_bits as f64 / bits as f64
+        bit_error_rate(self.fault_bits, self.words_read)
     }
 
     /// Total model energy of the run (requests × per-inference total).
@@ -256,11 +231,7 @@ impl InferenceServer {
 
     /// Worker threads the next [`serve`](Self::serve) call will use.
     pub fn workers(&self) -> usize {
-        if self.options.workers > 0 {
-            self.options.workers
-        } else {
-            sram_exec::effective_threads()
-        }
+        sram_exec::resolve_workers(self.options.workers)
     }
 
     /// The reference prediction vector: request `i` classified on the
@@ -335,191 +306,64 @@ impl InferenceServer {
         requests: &[S],
         options: &ServeOptions,
     ) -> ServeReport {
-        assert!(options.max_batch > 0, "max_batch must be at least 1");
         let n = requests.len();
-        let configured = if options.workers > 0 {
-            options.workers
-        } else {
-            sram_exec::effective_threads()
-        };
-        let workers = configured.clamp(1, n.max(1)).min(MAX_WORKERS);
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n).collect());
-        let shard_reads_before: Vec<usize> = self
-            .system
-            .memory()
-            .shard_counts()
-            .iter()
-            .map(|c| c.reads)
-            .collect();
-        let start = Instant::now();
-
-        struct WorkerOutcome {
-            /// `(request id, prediction)` in completion order; latencies
-            /// live in the histogram.
-            results: Vec<(usize, usize)>,
-            histogram: LatencyHistogram,
-            queue_wait: LatencyHistogram,
-            service: LatencyHistogram,
-            fault_bits: u64,
-            words_read: u64,
-            batches: usize,
-            max_batch_observed: usize,
-        }
-
-        // When no bank can fault a read, the scalar datapath draws zero
-        // randomness per request — so one physical row fetch can feed every
-        // request in a micro-batch (`classify_batch`) without perturbing
-        // any per-request stream. Faulting memories keep the per-request
-        // path: each request's masks must come from its own RNG.
-        let batchable = self.system.memory().read_fault_free();
-        let run_worker = || {
-            let mut out = WorkerOutcome {
-                results: Vec::new(),
-                histogram: LatencyHistogram::new(),
-                queue_wait: LatencyHistogram::new(),
-                service: LatencyHistogram::new(),
-                fault_bits: 0,
-                words_read: 0,
-                batches: 0,
-                max_batch_observed: 0,
-            };
-            let mut ctx = self.system.make_context(options.base_seed, 0);
-            let mut batch_ctxs: Vec<InferContext> = Vec::new();
-            let mut features: Vec<&[f32]> = Vec::with_capacity(options.max_batch);
-            let mut batch: Vec<usize> = Vec::with_capacity(options.max_batch);
-            loop {
-                {
-                    let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                    if q.is_empty() {
-                        break;
-                    }
-                    let take = adaptive_batch(q.len(), workers, options.max_batch).min(q.len());
-                    batch.clear();
-                    batch.extend(q.drain(..take));
-                }
-                out.batches += 1;
-                out.max_batch_observed = out.max_batch_observed.max(batch.len());
-                if batchable && batch.len() > 1 {
-                    while batch_ctxs.len() < batch.len() {
-                        batch_ctxs.push(self.system.make_context(options.base_seed, 0));
-                    }
-                    let ctxs = &mut batch_ctxs[..batch.len()];
-                    features.clear();
-                    for (&id, c) in batch.iter().zip(ctxs.iter_mut()) {
-                        c.reset(options.base_seed, id as u64);
-                        features.push(requests[id].as_ref());
-                    }
-                    let popped_ns = start.elapsed().as_nanos() as u64;
-                    let predictions = self.system.classify_batch(&features, ctxs);
-                    let done_ns = start.elapsed().as_nanos() as u64;
-                    for ((&id, c), prediction) in batch.iter().zip(ctxs.iter()).zip(predictions) {
-                        out.histogram.record(done_ns);
-                        out.queue_wait.record(popped_ns);
-                        out.service.record(done_ns.saturating_sub(popped_ns));
-                        out.fault_bits += c.fault_bits();
-                        out.words_read += c.reads();
-                        out.results.push((id, prediction));
-                    }
-                } else {
-                    for &id in &batch {
-                        ctx.reset(options.base_seed, id as u64);
-                        let begun_ns = start.elapsed().as_nanos() as u64;
-                        let prediction = self
-                            .system
-                            .classify_request(requests[id].as_ref(), &mut ctx);
-                        let done_ns = start.elapsed().as_nanos() as u64;
-                        out.histogram.record(done_ns);
-                        out.queue_wait.record(begun_ns);
-                        out.service.record(done_ns.saturating_sub(begun_ns));
-                        out.fault_bits += ctx.fault_bits();
-                        out.words_read += ctx.reads();
-                        out.results.push((id, prediction));
-                    }
-                }
-            }
-            out
-        };
-
-        let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
-            // Join every worker before propagating a panic (same rationale
-            // as the exec pool: resuming the unwind with live workers would
-            // double-panic during scope teardown).
-            let mut outcomes = Vec::with_capacity(workers);
-            let mut first_panic = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(outcome) => outcomes.push(outcome),
-                    Err(payload) => {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-            }
-            if let Some(payload) = first_panic {
-                std::panic::resume_unwind(payload);
-            }
-            outcomes
-        });
-        let wall = start.elapsed();
-
-        let mut predictions = vec![usize::MAX; n];
-        let mut latency = LatencyHistogram::new();
-        let mut queue_wait = LatencyHistogram::new();
-        let mut service = LatencyHistogram::new();
-        let mut fault_bits = 0u64;
-        let mut words_read = 0u64;
-        let mut batches = 0usize;
-        let mut max_batch_observed = 0usize;
-        for outcome in &outcomes {
-            for &(id, prediction) in &outcome.results {
-                predictions[id] = prediction;
-            }
-            latency.merge(&outcome.histogram);
-            queue_wait.merge(&outcome.queue_wait);
-            service.merge(&outcome.service);
-            fault_bits += outcome.fault_bits;
-            words_read += outcome.words_read;
-            batches += outcome.batches;
-            max_batch_observed = max_batch_observed.max(outcome.max_batch_observed);
-        }
-        debug_assert!(predictions.iter().all(|&p| p != usize::MAX || n == 0));
-        let shard_reads: Vec<u64> = self
-            .system
-            .memory()
-            .shard_counts()
-            .iter()
-            .zip(&shard_reads_before)
-            .map(|(after, &before)| (after.reads - before) as u64)
-            .collect();
-
-        let standby_leakage = match (&self.drowsy, self.memory_leakage) {
-            (Some(plan), Some(leak)) => {
-                Some(Watt::new(leak.watts() * plan.standby_leakage_scale()))
-            }
-            _ => None,
-        };
-        ServeReport {
-            predictions,
-            latency,
-            queue_wait,
-            service,
-            wall,
+        let workers = sram_exec::resolve_workers(options.workers).min(n.max(1));
+        let scheduler = Scheduler::new(
+            vec![(&self.system, options.base_seed)],
             workers,
-            batches,
-            max_batch_observed,
-            fault_bits,
-            words_read,
-            shard_reads,
+            options.max_batch,
+        );
+        let shard_reads = || -> Vec<u64> {
+            let counts = self.system.memory().shard_counts();
+            counts.iter().map(|c| c.reads as u64).collect()
+        };
+        let shard_reads_before = shard_reads();
+        let start = Instant::now();
+        scheduler.submit(requests.iter().enumerate().map(|(id, features)| Job {
+            tenant: 0,
+            id: id as u64,
+            features: features.as_ref(),
+            admitted: start,
+            tag: (),
+        }));
+        let (done, completions) = mpsc::channel();
+        let ((), stats) = scheduler.run(&done, || ());
+
+        let mut report = ServeReport {
+            predictions: vec![usize::MAX; n],
+            latency: LatencyHistogram::new(),
+            queue_wait: LatencyHistogram::new(),
+            service: LatencyHistogram::new(),
+            wall: start.elapsed(),
+            workers,
+            batches: stats.iter().map(|s| s.batches).sum(),
+            max_batch_observed: stats.iter().map(|s| s.max_batch).max().unwrap_or(0),
+            fault_bits: 0,
+            words_read: 0,
+            shard_reads: (shard_reads().iter().zip(&shard_reads_before))
+                .map(|(after, before)| after - before)
+                .collect(),
             energy_per_inference: self.energy,
-            standby_leakage,
+            standby_leakage: (self.drowsy.as_ref().zip(self.memory_leakage))
+                .map(|(plan, leak)| Watt::new(leak.watts() * plan.standby_leakage_scale())),
             resilience: self.resilience.as_ref().map(|r| r.counters()),
+        };
+        for c in completions.try_iter() {
+            report.predictions[c.id as usize] = c.prediction;
+            report.latency.record(c.queue_ns + c.service_ns);
+            report.queue_wait.record(c.queue_ns);
+            report.service.record(c.service_ns);
+            report.fault_bits += c.fault_bits;
+            report.words_read += c.reads;
         }
+        debug_assert!(!report.predictions.contains(&usize::MAX));
+        report
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scheduler::adaptive_batch;
 
     #[test]
     fn adaptive_batch_tracks_backlog() {

@@ -27,6 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sram_array::sharded::ShardedMemory;
 use sram_exec::derive_seed;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Base seed of the legacy `&mut self` entry points when none is given.
@@ -133,6 +134,8 @@ pub struct NeuromorphicSystem {
     /// Global word index of this system's first weight word inside the
     /// (possibly shared) store; `0` for a single-tenant store.
     base_addr: usize,
+    /// The store banks holding this system's layers.
+    banks: Range<usize>,
     base_seed: u64,
     /// Requests served through the legacy `&mut self` entry points; each
     /// gets the next id of the default stream.
@@ -160,6 +163,7 @@ impl NeuromorphicSystem {
             memory: Arc::new(memory),
             shapes: Self::shapes_of(network),
             base_addr: 0,
+            banks: 0..words.len(),
             base_seed: DEFAULT_BASE_SEED,
             served: 0,
         }
@@ -204,6 +208,7 @@ impl NeuromorphicSystem {
             memory: store,
             shapes: Self::shapes_of(network),
             base_addr,
+            banks: first_bank..first_bank + words.len(),
             base_seed: DEFAULT_BASE_SEED,
             served: 0,
         }
@@ -247,6 +252,14 @@ impl NeuromorphicSystem {
     pub fn memory_mut(&mut self) -> &mut ShardedMemory {
         Arc::get_mut(&mut self.memory)
             .expect("memory_mut on a store shared with other resident systems")
+    }
+
+    /// `true` when no bank of this system's window can fault a read — the
+    /// amortization rule: only then may [`classify_batch`](Self::classify_batch)
+    /// feed one physical row fetch to a whole micro-batch. Other tenants
+    /// of a shared store do not matter; their banks are never read here.
+    pub fn read_fault_free(&self) -> bool {
+        self.memory.banks_read_fault_free(self.banks.clone())
     }
 
     /// Feature width of the input layer (what `classify_request` expects).
@@ -357,9 +370,10 @@ impl NeuromorphicSystem {
 
     /// Classifies a micro-batch sharing one physical row fetch per neuron
     /// across all requests — the batch-amortized datapath the serving
-    /// layer uses when the memory is read-fault-free.
+    /// layer uses when this system's bank window is
+    /// [read-fault-free](Self::read_fault_free).
     ///
-    /// On such a memory the scalar datapath draws **zero** randomness, so
+    /// On such a window the scalar datapath draws **zero** randomness, so
     /// feeding every request from one fetch perturbs nothing: outputs,
     /// fault accounting (all zeros), per-context read counts, and each
     /// context's RNG state are byte-identical to running
@@ -370,12 +384,12 @@ impl NeuromorphicSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the memory can fault a read, if `batch` and `ctxs`
+    /// Panics if the bank window can fault a read, if `batch` and `ctxs`
     /// lengths differ, or on a feature-width mismatch.
     pub fn classify_batch(&self, batch: &[&[f32]], ctxs: &mut [InferContext]) -> Vec<usize> {
         assert!(
-            self.memory.read_fault_free(),
-            "batch-amortized path requires a read-fault-free memory"
+            self.read_fault_free(),
+            "batch-amortized path requires a read-fault-free bank window"
         );
         assert_eq!(batch.len(), ctxs.len(), "one context per request");
         for (features, ctx) in batch.iter().zip(ctxs.iter_mut()) {
@@ -938,6 +952,47 @@ mod tests {
                 ctx_r.fault_bits(),
                 "tenant B faults {id}"
             );
+        }
+        assert!(!res_a.read_fault_free() && !res_b.read_fault_free());
+
+        // The amortization rule is per bank window: next to a faulting
+        // tenant, a tenant whose own banks cannot fault a read still
+        // batches, and its batch replays the per-request path exactly.
+        let clean = BitErrorRates {
+            read_6t: 0.0,
+            ..rates_a
+        };
+        let store = shared_two_tenant_store(&qa, &pol_a, &clean, &qb, &pol_b, &rates_b, 31);
+        assert!(!store.read_fault_free());
+        let clean_a =
+            NeuromorphicSystem::new_resident(&qa, Arc::clone(&store), 0, Npe::new(qa.format));
+        let faulty_b = NeuromorphicSystem::new_resident(
+            &qb,
+            Arc::clone(&store),
+            first_bank_b,
+            Npe::new(qb.format),
+        );
+        assert!(clean_a.read_fault_free());
+        assert!(!faulty_b.read_fault_free());
+        let feats: Vec<Vec<f32>> = (0..5)
+            .map(|id| {
+                (0..12)
+                    .map(|i| ((i * 41 + id * 7) % 100) as f32 / 100.0)
+                    .collect()
+            })
+            .collect();
+        let batch: Vec<&[f32]> = feats.iter().map(Vec::as_slice).collect();
+        let mut ctxs: Vec<InferContext> = (0..5).map(|id| clean_a.make_context(7, id)).collect();
+        let batched = clean_a.classify_batch(&batch, &mut ctxs);
+        for (id, f) in feats.iter().enumerate() {
+            let mut ctx = InferContext::for_request(7, id as u64);
+            assert_eq!(
+                batched[id],
+                clean_a.classify_request(f, &mut ctx),
+                "request {id}"
+            );
+            assert_eq!(ctxs[id].reads(), ctx.reads());
+            assert_eq!(ctxs[id].fault_bits(), 0);
         }
     }
 
