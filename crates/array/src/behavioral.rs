@@ -36,9 +36,29 @@
 //! monolithic reference at any shard count: no stream ever crosses an
 //! address-range boundary. The stream helpers live in [`streams`] and are
 //! shared by both implementations.
+//!
+//! # Read fault-stream contract v2
+//!
+//! Every read-fault mask — shared reads, row reads, owned reads, bulk
+//! reads and BIST passes — comes from one sampler,
+//! [`ReadMaskSampler`], applied to a *segment*: consecutive words of one
+//! bank. A row read is cut into segments at bank boundaries only, never at
+//! shard boundaries; a scalar read is a one-word segment; a bulk read or a
+//! BIST pass is one segment per bank. Within a segment, each bit with
+//! positive read probability `p`, in ascending bit order, places its flips
+//! by geometric skip: the gap to the next flipped word is
+//! `floor(ln(1 − U) / ln(1 − p))`. A segment costs one draw per fault plus
+//! one per active bit, so a faulting read costs per fault, not per bit.
+//!
+//! Consequences the tests pin: a row read equals the consecutive reads of
+//! its bank segments on the same RNG, `read_shared(i)` equals a one-word
+//! `read_row_shared(i, 1)`, and sharded equals monolithic at any shard
+//! count. A row read is *not* draw-for-draw equal to `len` scalar reads;
+//! it is equal in distribution, which `tests/read_stream_v2.rs` checks
+//! against a per-word Bernoulli reference.
 
 use crate::organization::{SynapticMemoryMap, WordAddress};
-use fault_inject::injector::{geometric_indices, sample_read_mask, InjectionStats};
+use fault_inject::injector::{geometric_indices, InjectionStats, ReadMaskSampler};
 use fault_inject::model::{WordFailureModel, WORD_BITS};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -153,16 +173,15 @@ fn draw_threshold(p: f64) -> u64 {
     (p * F64_DRAW_SCALE).ceil() as u64
 }
 
-/// The active fault bits of one bank for one access direction: `(bit mask,
-/// integer draw threshold)` per bit with positive probability, in bit
-/// order — exactly the bits (and the order) the scalar per-bit sampling
-/// loops draw for.
+/// The active write-fault bits of one bank: `(bit mask, integer draw
+/// threshold)` per bit with positive write probability, in bit order —
+/// exactly the bits (and the order) [`streams::write_mask`] draws for.
 type ActiveBits = Vec<(u8, u64)>;
 
-fn active_bits(probability: impl Fn(usize) -> f64) -> ActiveBits {
+fn active_write_bits(model: &WordFailureModel) -> ActiveBits {
     (0..WORD_BITS)
         .filter_map(|bit| {
-            let p = probability(bit);
+            let p = model.write_probability(bit);
             (p > 0.0).then(|| (1u8 << bit, draw_threshold(p)))
         })
         .collect()
@@ -217,40 +236,37 @@ impl Clone for AtomicAccessCounts {
 }
 
 /// Per-bank fault-model state shared by the monolithic and sharded stores:
-/// the failure models plus pre-resolved "does this bank fault at all"
-/// flags, so ideal banks skip RNG construction entirely on the hot paths.
+/// the failure models plus each bank's precomputed read-mask sampler and
+/// write-fault thresholds, so ideal banks skip RNG construction entirely
+/// on the hot paths.
 #[derive(Debug, Clone)]
 pub(crate) struct BankModels {
     pub(crate) models: Vec<WordFailureModel>,
-    /// `true` when the bank's model can corrupt a write.
-    write_faulty: Vec<bool>,
-    /// `true` when the bank's model can corrupt a read.
-    read_faulty: Vec<bool>,
-    /// Per-bank integer draw thresholds for read faults, active bits only.
-    read_thresholds: Vec<ActiveBits>,
+    /// Per-bank read-fault samplers: `ln(1 − p)` per active bit.
+    read_samplers: Vec<ReadMaskSampler>,
     /// Per-bank integer draw thresholds for write faults, active bits only.
     write_thresholds: Vec<ActiveBits>,
 }
 
 impl BankModels {
     pub(crate) fn new(models: Vec<WordFailureModel>) -> Self {
-        let read_thresholds: Vec<ActiveBits> = models
-            .iter()
-            .map(|m| active_bits(|b| m.read_probability(b)))
-            .collect();
-        let write_thresholds: Vec<ActiveBits> = models
-            .iter()
-            .map(|m| active_bits(|b| m.write_probability(b)))
-            .collect();
-        let write_faulty: Vec<bool> = write_thresholds.iter().map(|t| !t.is_empty()).collect();
-        let read_faulty: Vec<bool> = read_thresholds.iter().map(|t| !t.is_empty()).collect();
+        let read_samplers = models.iter().map(ReadMaskSampler::new).collect();
+        let write_thresholds = models.iter().map(active_write_bits).collect();
         Self {
             models,
-            write_faulty,
-            read_faulty,
-            read_thresholds,
+            read_samplers,
             write_thresholds,
         }
+    }
+
+    /// `true` when `bank`'s model can corrupt a read.
+    fn read_faulty(&self, bank: usize) -> bool {
+        !self.read_samplers[bank].is_fault_free()
+    }
+
+    /// `true` when `bank`'s model can corrupt a write.
+    fn write_faulty(&self, bank: usize) -> bool {
+        !self.write_thresholds[bank].is_empty()
     }
 
     /// `true` when no bank in `banks` can corrupt a read — reads there draw
@@ -258,42 +274,31 @@ impl BankModels {
     /// the serving layer share one physical row fetch across a whole
     /// micro-batch without perturbing any request's fault stream.
     pub(crate) fn read_fault_free(&self, banks: Range<usize>) -> bool {
-        !self.read_faulty[banks].contains(&true)
+        self.read_samplers[banks]
+            .iter()
+            .all(ReadMaskSampler::is_fault_free)
     }
 
-    /// Samples read-fault masks for `out.len()` consecutive words of
-    /// `bank` from `rng`, filling `out` and returning the number of set
-    /// fault bits.
-    ///
-    /// Draw-for-draw identical to `out.len()` calls of
-    /// [`sample_read_mask`] against the bank's model: one 53-bit draw per
-    /// active bit per word, in bit order, compared against the
-    /// [`draw_threshold`] integer image of `rng.gen::<f64>() < p`. Banks
-    /// with no faulting bits consume no randomness at all, exactly like
-    /// the scalar path.
+    /// Samples the read-fault masks of the segment of `out.len()`
+    /// consecutive words of `bank` from `rng`, filling `out` and returning
+    /// the number of set fault bits — the one read-mask sampler of both
+    /// stores (read fault-stream contract v2, see the [module docs](self)).
+    /// A segment never spans two banks; banks with no faulting bits
+    /// consume no randomness at all.
     pub(crate) fn sample_read_masks_into<R: Rng + ?Sized>(
         &self,
         bank: usize,
         rng: &mut R,
         out: &mut [u8],
     ) -> u64 {
-        if !self.read_faulty[bank] {
-            out.fill(0);
-            return 0;
-        }
-        let bits = &self.read_thresholds[bank];
-        let mut fault_bits = 0u64;
-        for slot in out.iter_mut() {
-            let mut mask = 0u8;
-            for &(bit_mask, threshold) in bits {
-                if (rng.next_u64() >> 11) < threshold {
-                    mask |= bit_mask;
-                }
-            }
-            fault_bits += u64::from(mask.count_ones());
-            *slot = mask;
-        }
-        fault_bits
+        self.read_samplers[bank].sample_into(rng, out)
+    }
+
+    /// The read-fault mask of one word of `bank`: a one-word segment.
+    pub(crate) fn word_read_mask<R: Rng + ?Sized>(&self, bank: usize, rng: &mut R) -> u8 {
+        let mut mask = 0u8;
+        self.sample_read_masks_into(bank, rng, std::slice::from_mut(&mut mask));
+        mask
     }
 
     /// XORs the persistent write-fault masks of the consecutive words
@@ -312,7 +317,7 @@ impl BankModels {
         offset_start: usize,
         words: &mut [u8],
     ) {
-        if !self.write_faulty[bank] {
+        if !self.write_faulty(bank) {
             return;
         }
         let bits = &self.write_thresholds[bank];
@@ -354,7 +359,7 @@ impl BankModels {
     /// The write-fault mask of word `(bank, offset)` (0 for ideal banks,
     /// without touching an RNG).
     pub(crate) fn write_mask(&self, base_seed: u64, addr: WordAddress) -> u8 {
-        if !self.write_faulty[addr.bank] {
+        if !self.write_faulty(addr.bank) {
             return 0;
         }
         streams::write_mask(&self.models[addr.bank], base_seed, addr.bank, addr.offset)
@@ -363,11 +368,11 @@ impl BankModels {
     /// The read-fault mask of an owned read numbered `read_number` landing
     /// on `bank`.
     pub(crate) fn owned_read_mask(&self, base_seed: u64, read_number: u64, bank: usize) -> u8 {
-        if !self.read_faulty[bank] {
+        if !self.read_faulty(bank) {
             return 0;
         }
         let mut rng = StdRng::seed_from_u64(streams::owned_read_seed(base_seed, read_number));
-        sample_read_mask(&self.models[bank], &mut rng)
+        self.word_read_mask(bank, &mut rng)
     }
 
     /// One bank's snapshot-corruption pass: flips `(offset, bit)` pairs in
@@ -381,7 +386,7 @@ impl BankModels {
     ) -> (Vec<(usize, u8)>, InjectionStats) {
         let mut flips = Vec::new();
         let mut stats = InjectionStats::default();
-        if !self.read_faulty[bank] {
+        if !self.read_faulty(bank) {
             return (flips, stats);
         }
         let mut rng = StdRng::seed_from_u64(streams::snapshot_bank_seed(snapshot_seed, bank));
@@ -401,9 +406,9 @@ impl BankModels {
     }
 
     /// One bank's slice of a bulk faulty read: word `off` of the bank is
-    /// `src(off) ^ mask`, with per-word masks drawn from the bank's own
-    /// `(bulk seed, bank)` stream. Returns the read-out bytes plus the
-    /// number of injected fault bits.
+    /// `src(off) ^ mask`, with the masks of the whole bank drawn as one
+    /// segment from the bank's own `(bulk seed, bank)` stream. Returns the
+    /// read-out bytes plus the number of injected fault bits.
     pub(crate) fn bulk_read_bank(
         &self,
         bulk_seed: u64,
@@ -411,18 +416,14 @@ impl BankModels {
         bank_words: usize,
         src: impl Fn(usize) -> u8,
     ) -> (Vec<u8>, u64) {
-        let mut out = Vec::with_capacity(bank_words);
+        let mut out = vec![0u8; bank_words];
         let mut fault_bits = 0u64;
-        if !self.read_faulty[bank] {
-            out.extend((0..bank_words).map(src));
-            return (out, fault_bits);
+        if self.read_faulty(bank) {
+            let mut rng = StdRng::seed_from_u64(streams::bulk_bank_seed(bulk_seed, bank));
+            fault_bits = self.sample_read_masks_into(bank, &mut rng, &mut out);
         }
-        let mut rng = StdRng::seed_from_u64(streams::bulk_bank_seed(bulk_seed, bank));
-        let model = &self.models[bank];
-        for off in 0..bank_words {
-            let mask = sample_read_mask(model, &mut rng);
-            fault_bits += u64::from(mask.count_ones());
-            out.push(src(off) ^ mask);
+        for (off, word) in out.iter_mut().enumerate() {
+            *word ^= src(off);
         }
         (out, fault_bits)
     }
@@ -550,7 +551,7 @@ impl SynapticMemory {
     /// Panics if `index` is out of range.
     pub fn read_shared<R: Rng + ?Sized>(&self, index: usize, rng: &mut R) -> (u8, u8) {
         let bank = self.map.locate(index).bank;
-        let mask = sample_read_mask(&self.banks.models[bank], rng);
+        let mask = self.banks.word_read_mask(bank, rng);
         self.counts.reads.fetch_add(1, Ordering::Relaxed);
         (self.words[index] ^ mask, mask)
     }
@@ -560,12 +561,12 @@ impl SynapticMemory {
     /// masks to `masks` (both are cleared first). Returns the number of
     /// injected fault bits.
     ///
-    /// Stream-equivalent to `len` scalar [`read_shared`](Self::read_shared)
-    /// calls on the same RNG — masks are drawn per word in address order,
-    /// each word sampling exactly the draws [`sample_read_mask`] would make
-    /// against its bank's model — but the read counter advances with a
-    /// single bump of `len` and bank boundaries are handled by segment
-    /// walking instead of a per-word address resolve.
+    /// The row is cut at bank boundaries into segments, and each segment's
+    /// masks are sampled in address order from the caller's RNG by the
+    /// geometric-skip sampler of the read fault-stream contract v2 (see the
+    /// [module docs](self)). The result equals consecutive reads of those
+    /// segments; [`read_shared`](Self::read_shared) is the one-word case.
+    /// The read counter advances by `len`.
     ///
     /// # Panics
     ///
@@ -806,27 +807,50 @@ mod tests {
         assert_eq!(sa, sb);
     }
 
+    /// Two banks of 300 and 212 words, two 8T MSBs, both faulting.
+    fn two_bank_memory(read_p: f64, write_p: f64) -> SynapticMemory {
+        let policy = ProtectionPolicy::MsbProtected { msb_8t: 2 };
+        let map = SynapticMemoryMap::new(&[300, 212], &policy, SubArrayDims::PAPER);
+        let rates = BitErrorRates {
+            read_6t: read_p,
+            write_6t: write_p,
+            read_8t: 0.0,
+            write_8t: 0.0,
+        };
+        let models = (0..2)
+            .map(|b| WordFailureModel::new(&rates, &policy.assignment(b)))
+            .collect();
+        let mut m = SynapticMemory::new(map, models, 7);
+        m.load(&(0..=255).cycle().take(512).collect::<Vec<u8>>());
+        m
+    }
+
     #[test]
     fn shared_reads_sample_exactly_the_callers_stream() {
-        // `read_shared` with an external RNG must sample exactly the fault
-        // stream the model walk would draw from a twin RNG: same model
-        // walk, same draws.
+        // `read_shared` with an external RNG is a one-word segment of the
+        // caller's stream: the same value, mask and RNG end state as a
+        // one-word `read_row_shared` on a twin RNG.
         let mut owned = faulty_memory(512, 0.15, 0.0, 2);
         owned.load(&(0..=255).cycle().take(512).collect::<Vec<u8>>());
         let shared = owned.clone();
+        let row = owned.clone();
         let mut rng = StdRng::seed_from_u64(1234);
         let mut rng_twin = StdRng::seed_from_u64(1234);
+        let (mut words, mut masks) = (Vec::new(), Vec::new());
+        let mut fault_bits = 0u64;
         for i in 0..512 {
             let (value, mask) = shared.read_shared(i, &mut rng);
-            let expected_mask = sample_read_mask(
-                &shared.banks.models[shared.map.locate(i).bank],
-                &mut rng_twin,
-            );
-            assert_eq!(mask, expected_mask);
+            let bits = row.read_row_shared(i, 1, &mut rng_twin, &mut words, &mut masks);
+            assert_eq!((value, mask), (words[0], masks[0]), "word {i}");
+            assert_eq!(bits, u64::from(mask.count_ones()));
             assert_eq!(value, shared.read_raw(i) ^ mask);
             assert_eq!(value & 0xC0, shared.read_raw(i) & 0xC0, "protected MSBs");
+            fault_bits += bits;
         }
+        assert_eq!(rng, rng_twin, "RNG streams must end in the same state");
+        assert!(fault_bits > 0, "15% read fault rate must show up");
         assert_eq!(shared.counts().reads, 512);
+        assert_eq!(row.counts(), shared.counts());
         // The shared path never mutates storage.
         for i in 0..512 {
             assert_eq!(shared.read_raw(i), owned.read_raw(i));
@@ -834,32 +858,54 @@ mod tests {
     }
 
     #[test]
-    fn row_reads_replay_the_scalar_shared_stream() {
-        // A row read must be byte-for-byte the stream of `len` scalar
-        // `read_shared` calls: same values, same masks, same counter
-        // advance, same RNG state afterwards.
-        let mut m = faulty_memory(512, 0.15, 0.05, 2);
-        m.load(&(0..=255).cycle().take(512).collect::<Vec<u8>>());
-        let scalar = m.clone();
+    fn row_reads_replay_their_bank_segments() {
+        // A row read is consecutive reads of its bank segments on the same
+        // RNG: same values, masks, fault bits, counter advance and RNG end
+        // state. Bank 0 ends at word 300.
+        let m = two_bank_memory(0.15, 0.05);
+        let segmented = m.clone();
         let mut row_rng = StdRng::seed_from_u64(0xD00D);
-        let mut scalar_rng = StdRng::seed_from_u64(0xD00D);
-        let mut words = Vec::new();
-        let mut masks = Vec::new();
-        for (start, len) in [(0usize, 512usize), (3, 17), (500, 12), (7, 0)] {
+        let mut seg_rng = StdRng::seed_from_u64(0xD00D);
+        let (mut words, mut masks) = (Vec::new(), Vec::new());
+        let (mut seg_words, mut seg_masks) = (Vec::new(), Vec::new());
+        for (start, len) in [
+            (0usize, 512usize),
+            (3, 17),
+            (290, 20),
+            (299, 2),
+            (500, 12),
+            (7, 0),
+        ] {
             let fault_bits = m.read_row_shared(start, len, &mut row_rng, &mut words, &mut masks);
+            let mut expect_words = Vec::new();
+            let mut expect_masks = Vec::new();
             let mut expect_bits = 0u64;
-            for (k, i) in (start..start + len).enumerate() {
-                let (value, mask) = scalar.read_shared(i, &mut scalar_rng);
-                assert_eq!(words[k], value, "word {i}");
-                assert_eq!(masks[k], mask, "mask {i}");
-                expect_bits += u64::from(mask.count_ones());
+            let cut = 300usize.clamp(start, start + len);
+            for (s, l) in [(start, cut - start), (cut, start + len - cut)] {
+                if l > 0 {
+                    expect_bits += segmented.read_row_shared(
+                        s,
+                        l,
+                        &mut seg_rng,
+                        &mut seg_words,
+                        &mut seg_masks,
+                    );
+                    expect_words.extend_from_slice(&seg_words);
+                    expect_masks.extend_from_slice(&seg_masks);
+                }
             }
+            assert_eq!(words, expect_words, "row {start}+{len}");
+            assert_eq!(masks, expect_masks, "row {start}+{len}");
             assert_eq!(fault_bits, expect_bits);
-            assert_eq!(words.len(), len);
-            assert_eq!(masks.len(), len);
+            let mask_bits: u32 = masks.iter().map(|m| m.count_ones()).sum();
+            assert_eq!(fault_bits, u64::from(mask_bits));
+            for (k, i) in (start..start + len).enumerate() {
+                assert_eq!(words[k], m.read_raw(i) ^ masks[k]);
+            }
         }
-        assert_eq!(row_rng, scalar_rng, "RNG streams must stay in lockstep");
-        assert_eq!(m.counts().reads, scalar.counts().reads);
+        assert_eq!(row_rng, seg_rng, "RNG streams must end in the same state");
+        assert_eq!(m.counts(), segmented.counts());
+        assert_eq!(m.counts().reads, 512 + 17 + 20 + 2 + 12);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 use crate::behavioral::{streams, AccessCounts, BankModels};
 use crate::organization::{SynapticMemoryMap, WordAddress};
-use fault_inject::injector::{sample_read_mask, InjectionStats};
+use fault_inject::injector::InjectionStats;
 use fault_inject::model::{WordFailureModel, WORD_BITS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -635,7 +635,7 @@ impl ShardedMemory {
     pub fn read_shared<R: Rng + ?Sized>(&self, index: usize, rng: &mut R) -> (u8, u8) {
         assert!(index < self.len(), "word index {index} out of range");
         let bank = self.bank_of(index);
-        let mask = sample_read_mask(&self.banks.models[bank], rng);
+        let mask = self.banks.word_read_mask(bank, rng);
         let s = &self.shards[self.shard_of(index)];
         s.reads.fetch_add(1, Ordering::Relaxed);
         let stored = if self.overlays.is_empty() {
@@ -651,14 +651,18 @@ impl ShardedMemory {
     /// masks to `masks` (both are cleared first). Returns the number of
     /// injected fault bits.
     ///
-    /// Stream-equivalent to `len` scalar [`read_shared`](Self::read_shared)
-    /// calls on the same RNG: the mask pass walks *bank* segments drawing
-    /// per-word masks in address order (each word exactly the draws
-    /// [`sample_read_mask`] would make), and the value pass walks *shard*
-    /// segments copying stored bytes with one atomic counter bump per
-    /// segment instead of one per word. Shard and bank boundaries may cut
-    /// the row anywhere — neither affects a single drawn bit, because mask
-    /// streams are keyed by bank and values by address.
+    /// The mask pass walks *bank* segments, sampling each one's masks from
+    /// the caller's RNG with the geometric-skip sampler of the read
+    /// fault-stream contract v2 (see
+    /// [`behavioral`](crate::behavioral#read-fault-stream-contract-v2));
+    /// [`read_shared`](Self::read_shared) is the one-word case. The value
+    /// pass walks *shard* segments, copying stored bytes with one atomic
+    /// counter bump per segment instead of one per word. Shard boundaries
+    /// may cut the row anywhere without affecting a single drawn bit,
+    /// because mask segments are cut at bank boundaries only and values
+    /// are keyed by address. The result is identical to the monolithic
+    /// [`SynapticMemory`](crate::behavioral::SynapticMemory) at any shard
+    /// count.
     ///
     /// # Panics
     ///

@@ -132,12 +132,12 @@ proptest! {
     }
 
     /// A row read over an arbitrary `(start, len)` span — straddling any
-    /// number of bank and shard boundaries — is byte-for-byte the stream
-    /// of `len` scalar `read_shared` calls on both stores: same values,
-    /// same masks, same fault-bit total, same counters, and the caller's
-    /// RNG ends in the same state.
+    /// number of bank and shard boundaries — is identical on the sharded
+    /// store and the monolith (values, masks, fault bits, counters, RNG end
+    /// state), and equals consecutive reads of its bank segments on the
+    /// same RNG; a scalar `read_shared` equals a one-word row read.
     #[test]
-    fn row_reads_replay_the_scalar_stream_across_boundaries(
+    fn row_reads_are_shard_invariant_and_replay_their_bank_segments(
         banks in arb_banks(),
         msb in 0usize..=8,
         rates in arb_rates(),
@@ -151,41 +151,59 @@ proptest! {
         let data: Vec<u8> = (0..total).map(|i| (i * 31) as u8).collect();
         mono.load(&data);
         sharded.load(&data);
+        let segmented = mono.clone();
         let start = span.0 as usize % total;
         let len = span.1 as usize % (total - start + 1);
 
-        // Scalar reference: `len` read_shared calls against the monolith.
-        let mut rng_scalar = StdRng::seed_from_u64(rng_seed);
-        let mut scalar_words = Vec::with_capacity(len);
-        let mut scalar_masks = Vec::with_capacity(len);
-        let mut scalar_bits = 0u64;
-        for i in start..start + len {
-            let (value, mask) = mono.read_shared(i, &mut rng_scalar);
-            scalar_words.push(value);
-            scalar_masks.push(mask);
-            scalar_bits += u64::from(mask.count_ones());
-        }
+        let mut rng_mono = StdRng::seed_from_u64(rng_seed);
+        let (mut mono_words, mut mono_masks) = (Vec::new(), Vec::new());
+        let mono_bits =
+            mono.read_row_shared(start, len, &mut rng_mono, &mut mono_words, &mut mono_masks);
 
-        // Row read on the sharded store, same RNG seed.
-        let mut rng_row = StdRng::seed_from_u64(rng_seed);
-        let mut words = Vec::new();
-        let mut masks = Vec::new();
-        let fault_bits = sharded.read_row_shared(start, len, &mut rng_row, &mut words, &mut masks);
-        prop_assert_eq!(&words, &scalar_words);
-        prop_assert_eq!(&masks, &scalar_masks);
-        prop_assert_eq!(fault_bits, scalar_bits);
-        prop_assert_eq!(rng_row, rng_scalar);
+        // Sharded row read, same RNG seed: identical at any shard count.
+        let mut rng_sharded = StdRng::seed_from_u64(rng_seed);
+        let (mut words, mut masks) = (Vec::new(), Vec::new());
+        let fault_bits = sharded.read_row_shared(start, len, &mut rng_sharded, &mut words, &mut masks);
+        prop_assert_eq!(&words, &mono_words);
+        prop_assert_eq!(&masks, &mono_masks);
+        prop_assert_eq!(fault_bits, mono_bits);
+        prop_assert_eq!(&rng_sharded, &rng_mono);
         prop_assert_eq!(sharded.counts(), mono.counts());
 
-        // And the monolith's own row read replays itself too.
-        let mut rng_mono_row = StdRng::seed_from_u64(rng_seed);
-        let mut mono_words = Vec::new();
-        let mut mono_masks = Vec::new();
-        let mono_bits =
-            mono.read_row_shared(start, len, &mut rng_mono_row, &mut mono_words, &mut mono_masks);
-        prop_assert_eq!(mono_words, scalar_words);
-        prop_assert_eq!(mono_masks, scalar_masks);
-        prop_assert_eq!(mono_bits, scalar_bits);
+        // Bank-segment reference: one row read per bank the span touches.
+        let mut rng_seg = StdRng::seed_from_u64(rng_seed);
+        let (mut seg_words, mut seg_masks) = (Vec::new(), Vec::new());
+        let (mut expect_words, mut expect_masks) = (Vec::new(), Vec::new());
+        let mut expect_bits = 0u64;
+        let mut bank_start = 0usize;
+        for &bank_words in &banks {
+            let bank_end = bank_start + bank_words;
+            let (lo, hi) = (start.max(bank_start), (start + len).min(bank_end));
+            if lo < hi {
+                expect_bits +=
+                    segmented.read_row_shared(lo, hi - lo, &mut rng_seg, &mut seg_words, &mut seg_masks);
+                expect_words.extend_from_slice(&seg_words);
+                expect_masks.extend_from_slice(&seg_masks);
+            }
+            bank_start = bank_end;
+        }
+        prop_assert_eq!(&expect_words, &mono_words);
+        prop_assert_eq!(&expect_masks, &mono_masks);
+        prop_assert_eq!(expect_bits, mono_bits);
+        prop_assert_eq!(&rng_seg, &rng_mono);
+        prop_assert_eq!(segmented.counts(), mono.counts());
+
+        // A scalar read is the one-word row read, on both stores.
+        if len > 0 {
+            let mut rng_scalar = StdRng::seed_from_u64(rng_seed);
+            let mut rng_one = StdRng::seed_from_u64(rng_seed);
+            let scalar = sharded.read_shared(start, &mut rng_scalar);
+            let one_bits = mono.read_row_shared(start, 1, &mut rng_one, &mut words, &mut masks);
+            prop_assert_eq!(scalar, (words[0], masks[0]));
+            prop_assert_eq!(one_bits, u64::from(masks[0].count_ones()));
+            prop_assert_eq!(&rng_scalar, &rng_one);
+            prop_assert_eq!(sharded.counts(), mono.counts());
+        }
     }
 
     /// `charge_reads` bills exactly `len * copies` reads to exactly the

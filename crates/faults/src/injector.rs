@@ -52,16 +52,40 @@ impl InjectionStats {
 /// via geometric gap sampling — O(expected flips), not O(n).
 pub fn geometric_indices(n: usize, p: f64, rng: &mut StdRng) -> Vec<usize> {
     assert!((0.0..=1.0).contains(&p) && p.is_finite(), "p = {p}");
-    if p <= 0.0 || n == 0 {
-        return Vec::new();
-    }
-    if p >= 1.0 {
-        return (0..n).collect();
-    }
-    // ln_1p keeps precision for tiny p: (1.0 - 1e-18) rounds to exactly 1.0,
-    // whose log is 0 and would turn "almost never" into "every single word".
-    let ln_q = (-p).ln_1p();
     let mut out = Vec::new();
+    if p > 0.0 {
+        // ln_1p keeps precision for tiny p: (1.0 - 1e-18) rounds to exactly
+        // 1.0, whose log is 0 and would turn "almost never" into "every
+        // single word".
+        for_each_geometric_index(n, (-p).ln_1p(), rng, |idx| out.push(idx));
+    }
+    out
+}
+
+/// The workspace's one geometric gap loop: calls `visit` on each index in
+/// `0..n` selected with independent probability `p`, in ascending order,
+/// given `ln_q = ln(1 − p)` for `0 < p ≤ 1` (precomputed by the caller with
+/// `(-p).ln_1p()`, which is `−∞` at `p = 1`).
+///
+/// Each gap to the next selected index is Geometric(p), drawn by inverse
+/// CDF as `floor(ln(U) / ln_q)` with `U = 1 − rng.gen::<f64>()` in
+/// `(0, 1]`, so the cost is one draw per selected index plus one for the
+/// gap that runs past `n`. `n = 0` draws nothing, and so does `p = 1`,
+/// which selects every index.
+pub(crate) fn for_each_geometric_index<R: Rng + ?Sized>(
+    n: usize,
+    ln_q: f64,
+    rng: &mut R,
+    mut visit: impl FnMut(usize),
+) {
+    debug_assert!(ln_q < 0.0, "ln(1 - p) = {ln_q} needs 0 < p <= 1");
+    if n == 0 {
+        return;
+    }
+    if ln_q == f64::NEG_INFINITY {
+        (0..n).for_each(visit);
+        return;
+    }
     let mut idx = 0usize;
     loop {
         // Gap ~ Geometric(p): floor(ln(U) / ln(1-p)).
@@ -74,10 +98,58 @@ pub fn geometric_indices(n: usize, p: f64, rng: &mut StdRng) -> Vec<usize> {
         if idx >= n {
             break;
         }
-        out.push(idx);
+        visit(idx);
         idx += 1;
     }
-    out
+}
+
+/// The read-fault sampler of one [`WordFailureModel`] — read fault-stream
+/// contract v2. One sampling call covers a *segment* of consecutive words
+/// of one bank, one bit-plane at a time: for each bit with positive read
+/// probability, in ascending bit order, the geometric gap loop places that
+/// bit's flips across the segment. A segment therefore costs one draw per
+/// fault plus one per active bit, instead of one per active bit per word.
+#[derive(Debug, Clone)]
+pub struct ReadMaskSampler {
+    /// `(bit mask, ln(1 − p))` per bit with positive read probability, in
+    /// bit order.
+    planes: Vec<(u8, f64)>,
+}
+
+impl ReadMaskSampler {
+    /// Precomputes the per-bit `ln(1 − p)` of `model`'s read faults.
+    pub fn new(model: &WordFailureModel) -> Self {
+        let planes = (0..WORD_BITS)
+            .filter_map(|bit| {
+                let p = model.read_probability(bit);
+                (p > 0.0).then(|| (1u8 << bit, (-p).ln_1p()))
+            })
+            .collect();
+        Self { planes }
+    }
+
+    /// `true` when no bit can fault on a read: sampling draws nothing and
+    /// yields all-zero masks.
+    pub fn is_fault_free(&self) -> bool {
+        self.planes.is_empty()
+    }
+
+    /// Overwrites `out` with the read-fault masks of `out.len()`
+    /// consecutive words, drawing only from `rng`, and returns the number
+    /// of set fault bits. Bit i of `out[k]` is set when the read of bit i
+    /// of word k failed. An empty segment or a fault-free model draws
+    /// nothing.
+    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [u8]) -> u64 {
+        out.fill(0);
+        let mut fault_bits = 0u64;
+        for &(bit_mask, ln_q) in &self.planes {
+            for_each_geometric_index(out.len(), ln_q, rng, |idx| {
+                out[idx] |= bit_mask;
+                fault_bits += 1;
+            });
+        }
+        fault_bits
+    }
 }
 
 /// Injects a snapshot of stored-then-read faults into `words`, flipping each
@@ -112,20 +184,6 @@ pub fn corrupt_words(words: &mut [u8], model: &WordFailureModel, seed: u64) -> I
         }
     }
     stats
-}
-
-/// Samples a read-fault mask for a *single* word access (used by the
-/// per-access behavioral memory model). Bit i of the result is set when the
-/// read of bit i failed.
-pub fn sample_read_mask<R: Rng + ?Sized>(model: &WordFailureModel, rng: &mut R) -> u8 {
-    let mut mask = 0u8;
-    for bit in 0..WORD_BITS {
-        let p = model.read_probability(bit);
-        if p > 0.0 && rng.gen::<f64>() < p {
-            mask |= 1 << bit;
-        }
-    }
-    mask
 }
 
 #[cfg(test)]
@@ -166,9 +224,13 @@ mod tests {
     #[test]
     fn geometric_edge_cases() {
         let mut rng = StdRng::seed_from_u64(1);
+        let pristine = rng.clone();
         assert!(geometric_indices(100, 0.0, &mut rng).is_empty());
         assert_eq!(geometric_indices(5, 1.0, &mut rng), vec![0, 1, 2, 3, 4]);
         assert!(geometric_indices(0, 0.5, &mut rng).is_empty());
+        // None of the three draws: p = 0, p = 1 and n = 0 are decided
+        // without randomness.
+        assert_eq!(rng, pristine);
     }
 
     #[test]
@@ -246,10 +308,9 @@ mod tests {
     fn read_mask_sampling_respects_protection() {
         let m = model(0.5, 0.0, 4);
         let mut rng = StdRng::seed_from_u64(17);
-        let mut any = 0u8;
-        for _ in 0..200 {
-            any |= sample_read_mask(&m, &mut rng);
-        }
+        let mut masks = [0u8; 200];
+        ReadMaskSampler::new(&m).sample_into(&mut rng, &mut masks);
+        let any = masks.iter().fold(0u8, |acc, &mask| acc | mask);
         assert_eq!(any & 0xF0, 0, "protected bits never fault");
         assert_ne!(any & 0x0F, 0, "unprotected bits fault eventually");
     }

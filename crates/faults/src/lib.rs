@@ -34,7 +34,7 @@ pub mod protection;
 pub mod prelude {
     pub use crate::chaos::{ChaosEvent, ChaosSchedule, ScheduledEvent};
     pub use crate::injector::{
-        corrupt_words, geometric_indices, sample_read_mask, FlipKind, InjectionStats,
+        corrupt_words, geometric_indices, FlipKind, InjectionStats, ReadMaskSampler,
     };
     pub use crate::model::{BitErrorRates, WordFailureModel, WORD_BITS};
     pub use crate::protection::{CellAssignment, ProtectionPolicy};

@@ -95,16 +95,26 @@ proptest! {
         prop_assert!((model.expected_flips_per_word() - expected).abs() < 1e-9);
     }
 
-    /// Read-mask sampling respects per-bit probabilities of zero and one.
+    /// Read-mask sampling respects per-bit probabilities of zero and one:
+    /// p = 1 flips every word's active bits, and the ideal model leaves
+    /// every mask clear without drawing from the RNG.
     #[test]
-    fn read_mask_extremes(seed in 0u64..50) {
+    fn read_mask_extremes(seed in 0u64..50, words in 0usize..300, protected in 0usize..=8) {
         let mut rng = StdRng::seed_from_u64(seed);
         let always = WordFailureModel::new(
             &BitErrorRates { read_6t: 1.0, write_6t: 0.0, read_8t: 0.0, write_8t: 0.0 },
-            &CellAssignment::all_6t(),
+            &CellAssignment::msb_protected(protected),
         );
-        prop_assert_eq!(sample_read_mask(&always, &mut rng), 0xFF);
-        let never = WordFailureModel::ideal();
-        prop_assert_eq!(sample_read_mask(&never, &mut rng), 0x00);
+        let active = 0xFFu8.checked_shr(protected as u32).unwrap_or(0);
+        let mut masks = vec![0xA5u8; words];
+        let fault_bits = ReadMaskSampler::new(&always).sample_into(&mut rng, &mut masks);
+        prop_assert!(masks.iter().all(|&m| m == active));
+        prop_assert_eq!(fault_bits, (words * active.count_ones() as usize) as u64);
+        let pristine = rng.clone();
+        let never = ReadMaskSampler::new(&WordFailureModel::ideal());
+        prop_assert!(never.is_fault_free());
+        prop_assert_eq!(never.sample_into(&mut rng, &mut masks), 0);
+        prop_assert!(masks.iter().all(|&m| m == 0));
+        prop_assert_eq!(rng, pristine);
     }
 }

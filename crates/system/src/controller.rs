@@ -312,10 +312,9 @@ impl NeuromorphicSystem {
     /// Each neuron's weight row is fetched in one
     /// [`read_row_shared`](ShardedMemory::read_row_shared) call into the
     /// context's scratch (no per-word address resolve or push churn), then
-    /// accumulated by the NPE's fused 8-lane MAC. Stream-equivalent to the
-    /// word-at-a-time datapath: the row fetch draws the same masks in the
-    /// same order as `inputs` scalar reads, and the per-neuron bias read
-    /// keeps its place in the stream right after its weight row.
+    /// accumulated by the NPE's fused 8-lane MAC. The per-neuron bias read
+    /// keeps its place in the request's fault stream right after its
+    /// weight row.
     ///
     /// # Panics
     ///
